@@ -15,9 +15,10 @@ import (
 
 // This file benchmarks the fused kernel engine against the implementations it
 // replaced: the s²-Dot Gram product, per-column Axpy block updates, and
-// spawn-per-call goroutine fan-out (the seed's parallelFor/ParDot shape,
-// reproduced locally below so the comparison survives the old code's
-// deletion). Two acceptance properties ride on the output:
+// spawn-per-call goroutine fan-out (the seed's vec.Gram/vec.AddMul and
+// parallelFor/ParDot shapes, reproduced locally below so the comparison
+// survives the old code's deletion or repurposing). Two acceptance
+// properties ride on the output:
 //
 //  1. the fused cache-blocked Gram beats the s²-Dot Gram by ≥ 2× at
 //     n = 2²⁰, s = 8 (it streams each operand once per tile instead of
@@ -98,11 +99,13 @@ type KernelsSummary struct {
 
 // KernelsResult is the BENCH_kernels.json document.
 type KernelsResult struct {
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	S          int            `json:"s"`
-	Reps       int            `json:"reps"`
-	Cases      []KernelCase   `json:"cases"`
-	Summary    KernelsSummary `json:"summary"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// KernelSet is the micro-kernel set the new kernels ran (vec.KernelSet).
+	KernelSet string         `json:"kernel_set"`
+	S         int            `json:"s"`
+	Reps      int            `json:"reps"`
+	Cases     []KernelCase   `json:"cases"`
+	Summary   KernelsSummary `json:"summary"`
 }
 
 // minTime2 times base and next interleaved — base, next, base, next, … — so
@@ -148,6 +151,31 @@ func detBlock(n, s, seed int) *vec.Block {
 		fillDet(b.Col(j), seed+31*j)
 	}
 	return b
+}
+
+// seedGram is the seed's vec.Gram: s² independent full-length Dot streams.
+func seedGram(x, y *vec.Block) []float64 {
+	sa, sb := x.S(), y.S()
+	out := make([]float64, sa*sb)
+	for i := 0; i < sa; i++ {
+		for j := 0; j < sb; j++ {
+			out[i*sb+j] = vec.Dot(x.Cols[i], y.Cols[j])
+		}
+	}
+	return out
+}
+
+// seedAddMul is the seed's vec.AddMul: dst = Y + X·C as one Axpy pass per
+// (column of X, column of dst) pair.
+func seedAddMul(dst, y, x *vec.Block, c []float64) {
+	sx, sd := x.S(), dst.S()
+	for j := 0; j < sd; j++ {
+		d := dst.Cols[j]
+		copy(d, y.Cols[j])
+		for i := 0; i < sx; i++ {
+			vec.Axpy(c[i*sd+j], x.Cols[i], d)
+		}
+	}
 }
 
 // --- spawn-based references (the seed implementations, kept verbatim in
@@ -245,7 +273,7 @@ func spawnSpMV(a *sparse.CSR, dst, x []float64, bounds []int) {
 // RunKernels executes the sweep and returns the BENCH_kernels.json document.
 func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 	cfg = cfg.withDefaults()
-	res := &KernelsResult{GOMAXPROCS: runtime.GOMAXPROCS(0), S: cfg.S, Reps: cfg.Reps}
+	res := &KernelsResult{GOMAXPROCS: runtime.GOMAXPROCS(0), KernelSet: vec.KernelSet(), S: cfg.S, Reps: cfg.Reps}
 	logf := func(format string, args ...any) {
 		if progress != nil {
 			fmt.Fprintf(progress, format+"\n", args...)
@@ -287,7 +315,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 			// sequential (as seeded) for every w: its cost is what the solvers
 			// actually paid before this engine existed.
 			sanity := vec.GramFused(x, y)
-			ref := vec.Gram(x, y)
+			ref := seedGram(x, y)
 			for i := range ref {
 				scale := 1.0
 				if s := math.Abs(ref[i]); s > scale {
@@ -297,7 +325,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 					return nil, fmt.Errorf("kernels: fused Gram mismatch at n=%d entry %d", n, i)
 				}
 			}
-			baseNS, newNS := minTime2(cfg.Reps, func() { vec.Gram(x, y) }, func() { vec.GramFused(x, y) })
+			baseNS, newNS := minTime2(cfg.Reps, func() { seedGram(x, y) }, func() { vec.GramFused(x, y) })
 			c := KernelCase{Kernel: "gram", Baseline: "s^2 sequential Dot (seed vec.Gram)",
 				N: n, S: cfg.S, Workers: w, BaselineNS: baseNS, NewNS: newNS,
 				Speedup: float64(baseNS) / float64(newNS)}
@@ -310,7 +338,7 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 
 			// Fused block update dst = Y + X·C vs s per-column Axpy passes.
 			dst := vec.NewBlock(n, cfg.S)
-			baseNS, newNS = minTime2(cfg.Reps, func() { vec.AddMul(dst, y, x, coef) }, func() { vec.AddMulFused(dst, y, x, coef) })
+			baseNS, newNS = minTime2(cfg.Reps, func() { seedAddMul(dst, y, x, coef) }, func() { vec.AddMulFused(dst, y, x, coef) })
 			c = KernelCase{Kernel: "combine", Baseline: "per-column Axpy passes (seed vec.AddMul)",
 				N: n, S: cfg.S, Workers: w, BaselineNS: baseNS, NewNS: newNS,
 				Speedup: float64(baseNS) / float64(newNS)}
@@ -412,8 +440,8 @@ func RunKernels(cfg KernelsConfig, progress io.Writer) (*KernelsResult, error) {
 
 // RenderKernels prints the sweep as a table plus the acceptance summary.
 func RenderKernels(w io.Writer, res *KernelsResult) {
-	fmt.Fprintf(w, "Kernel engine benchmark (GOMAXPROCS=%d, s=%d, min of %d reps)\n\n",
-		res.GOMAXPROCS, res.S, res.Reps)
+	fmt.Fprintf(w, "Kernel engine benchmark (GOMAXPROCS=%d, %s micro-kernels, s=%d, min of %d reps)\n\n",
+		res.GOMAXPROCS, res.KernelSet, res.S, res.Reps)
 	fmt.Fprintf(w, "%-10s %9s %3s %3s %12s %12s %8s\n",
 		"kernel", "n", "s", "w", "baseline", "fused/pool", "speedup")
 	for _, c := range res.Cases {

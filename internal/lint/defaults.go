@@ -55,6 +55,7 @@ var exactParityTestFiles = []string{
 	"internal/spmd/spmd_test.go",
 	"internal/vec/block_test.go",
 	"internal/vec/fused_test.go",
+	"internal/vec/kernels_amd64_test.go",
 	"internal/vec/vec_test.go",
 }
 

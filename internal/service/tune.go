@@ -112,12 +112,19 @@ func (s *Server) pickAllowed(fp uint64, cands []tune.Candidate) tune.Candidate {
 }
 
 // startBackgroundTune launches the trial schedule for fp unless one is
-// already running or the server is draining. The goroutine is tracked by
-// s.bg so Shutdown waits for it; probes observe the base context and unwind
-// promptly on a forced shutdown.
+// already running, a decision is already stored or the server is draining.
+// The store is checked again under tuner.mu: a run Puts its decision before
+// it clears its in-flight mark, so a request that missed the store before
+// that Put sees either the mark or the decision here, never neither. The
+// goroutine is tracked by s.bg so Shutdown waits for it; probes observe the
+// base context and unwind promptly on a forced shutdown.
 func (s *Server) startBackgroundTune(a *sparse.CSR, fp uint64, matrix string, plan *tune.Plan) {
 	s.tuner.mu.Lock()
 	if s.tuner.inflight[fp] {
+		s.tuner.mu.Unlock()
+		return
+	}
+	if _, ok := s.tuner.store.Get(fp); ok {
 		s.tuner.mu.Unlock()
 		return
 	}

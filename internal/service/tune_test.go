@@ -217,6 +217,40 @@ func TestAutoBackgroundTuneDeduped(t *testing.T) {
 	}
 }
 
+// TestBackgroundTuneSkipsStoredDecision: a cold request can miss the store
+// just before another run Puts its decision and clears its in-flight mark.
+// startBackgroundTune must then see the stored decision and start nothing.
+func TestBackgroundTuneSkipsStoredDecision(t *testing.T) {
+	s := New(Config{Workers: 1, Scale: 1, TuneProbeIters: 20, TuneRounds: 2})
+	const matrix = "poisson2d:12"
+	a, fp, err := s.reg.get(matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tune.Seed(a, s.tuner.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := plan.Candidates[0]
+	d := &tune.Decision{Fingerprint: tune.FpString(fp), Matrix: matrix, Winner: c,
+		Ranked: []tune.RankedCandidate{{Candidate: c}}, Source: "tuned"}
+	if err := s.tuner.store.Put(d); err != nil {
+		t.Fatal(err)
+	}
+
+	s.startBackgroundTune(a, fp, matrix, plan)
+	s.tuner.mu.Lock()
+	inflight := s.tuner.inflight[fp]
+	s.tuner.mu.Unlock()
+	shutdownServer(t, s) // waits for any background run
+	if inflight {
+		t.Error("startBackgroundTune marked a fingerprint in flight that already has a stored decision")
+	}
+	if runs := s.met.tuneRuns.Value(); runs != 0 {
+		t.Errorf("background tuning ran %d times for a stored decision, want 0", runs)
+	}
+}
+
 // TestBadBasisRejected (satellite): unknown basis strings are refused at
 // admission with the named error and HTTP 400; casing and whitespace are
 // normalized rather than rejected.

@@ -66,6 +66,8 @@ func (b *Block) View(lo, hi int) *Block {
 
 // MulVec computes dst = X·c where X is the n×s block and c has length s:
 // a tall-skinny GEMV, dst_i = Σ_j X_{ij} c_j. dst must not alias a column.
+// It is the serial, unpooled entry of CombineFused (same kernel, same
+// results), for callers that run on their own goroutine such as spmd ranks.
 func (b *Block) MulVec(dst []float64, c []float64) {
 	if len(c) != b.S() {
 		panic(fmt.Sprintf("vec: Block MulVec coefficient length %d != %d columns", len(c), b.S()))
@@ -73,92 +75,84 @@ func (b *Block) MulVec(dst []float64, c []float64) {
 	if len(dst) != b.N {
 		panic("vec: Block MulVec dst length mismatch")
 	}
-	Zero(dst)
-	for j, col := range b.Cols {
-		Axpy(c[j], col, dst)
-	}
+	combineSpan(active, dst, b.Cols, c, 0, nil, false)
 }
 
-// MulVecAdd computes dst += X·c.
+// MulVecAdd computes dst += X·c (serial AddScaledFused with alpha = 1).
 func (b *Block) MulVecAdd(dst []float64, c []float64) {
 	if len(c) != b.S() {
 		panic("vec: Block MulVecAdd coefficient length mismatch")
 	}
-	for j, col := range b.Cols {
-		Axpy(c[j], col, dst)
+	if len(dst) != b.N {
+		panic("vec: Block MulVecAdd dst length mismatch")
 	}
+	combineSpan(active, dst, b.Cols, c, 0, nil, true)
 }
 
-// MulVecSub computes dst -= X·c.
+// MulVecSub computes dst -= X·c (serial AddScaledFused with alpha = −1).
 func (b *Block) MulVecSub(dst []float64, c []float64) {
 	if len(c) != b.S() {
 		panic("vec: Block MulVecSub coefficient length mismatch")
 	}
-	for j, col := range b.Cols {
-		Axpy(-c[j], col, dst)
+	if len(dst) != b.N {
+		panic("vec: Block MulVecSub dst length mismatch")
 	}
+	neg := make([]float64, len(c))
+	for i, v := range c {
+		neg[i] = -v
+	}
+	combineSpan(active, dst, b.Cols, neg, 0, nil, true)
 }
 
 // Gram computes the sᵃ×sᵇ matrix Xᵀ·Y (row-major, row i = column i of X
 // against all columns of Y). This is the local part of the s-step methods'
-// single global reduction.
+// single global reduction. It is the serial, unpooled entry of GramFused:
+// the same tiles and micro-kernels over all rows, for callers that run on
+// their own goroutine such as spmd ranks (pool dispatches are serialized).
 func Gram(x, y *Block) []float64 {
 	if x.N != y.N {
 		panic("vec: Gram row-count mismatch")
 	}
-	sa, sb := x.S(), y.S()
-	out := make([]float64, sa*sb)
-	for i := 0; i < sa; i++ {
-		xi := x.Cols[i]
-		for j := 0; j < sb; j++ {
-			out[i*sb+j] = Dot(xi, y.Cols[j])
-		}
-	}
+	out := make([]float64, x.S()*y.S())
+	gramAccum(active, out, x, y, 0, x.N)
 	return out
 }
 
-// GramVec computes the length-s vector Xᵀ·v.
+// GramVec computes the length-s vector Xᵀ·v (serial GramVecFused).
 func GramVec(x *Block, v []float64) []float64 {
-	out := make([]float64, x.S())
-	for i, col := range x.Cols {
-		out[i] = Dot(col, v)
+	if len(v) != x.N {
+		panic("vec: GramVec length mismatch")
 	}
-	return out
+	return Gram(&Block{N: x.N, Cols: [][]float64{v}}, x)
 }
 
 // AddMul computes dst = Y + X·C where C is sₓ×s_dst row-major (C[i*s+j]
 // multiplies column i of X into column j of dst): the search-direction update
 // P⁽ᵏ⁾ = U⁽ᵏ⁾ + P⁽ᵏ⁻¹⁾B⁽ᵏ⁾ of Algorithms 2 and 5. dst must not share
-// columns with x; dst may equal y.
+// columns with x; dst may equal y. It is the serial, unpooled entry of
+// AddMulFused.
 func AddMul(dst, y, x *Block, c []float64) {
 	sx, sd := x.S(), dst.S()
 	if y.S() != sd || len(c) != sx*sd || y.N != x.N || dst.N != x.N {
 		panic("vec: AddMul shape mismatch")
 	}
-	for j := 0; j < sd; j++ {
-		d, yc := dst.Cols[j], y.Cols[j]
-		if &d[0] != &yc[0] {
-			copy(d, yc)
-		}
-		for i := 0; i < sx; i++ {
-			Axpy(c[i*sd+j], x.Cols[i], d)
-		}
+	if sd == 0 || dst.N == 0 {
+		return
 	}
+	addMulRange(dst, y, x, transposeCoef(c, sx, sd), 0, dst.N)
 }
 
-// Mul computes dst = X·C (as AddMul with Y = 0).
+// Mul computes dst = X·C (as AddMul with Y = 0); the serial, unpooled entry
+// of MulFused.
 func Mul(dst, x *Block, c []float64) {
 	sx, sd := x.S(), dst.S()
 	if len(c) != sx*sd || dst.N != x.N {
 		panic("vec: Mul shape mismatch")
 	}
-	for j := 0; j < sd; j++ {
-		d := dst.Cols[j]
-		Zero(d)
-		for i := 0; i < sx; i++ {
-			Axpy(c[i*sd+j], x.Cols[i], d)
-		}
+	if sd == 0 || dst.N == 0 {
+		return
 	}
+	mulRange(dst, x, transposeCoef(c, sx, sd), 0, dst.N)
 }
 
 // GramF32 is Gram with float32 accumulation: the mixed-precision variant

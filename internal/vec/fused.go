@@ -39,11 +39,16 @@ func gramTile(sa, sb int) int {
 }
 
 // GramFused computes the sᵃ×sᵇ matrix Xᵀ·Y (row-major, like Gram) in one
-// cache-blocked pass over X and Y, instead of Gram's sᵃ·sᵇ independent
-// n-length Dot streams. Rows are tiled so both operand tiles stay in L2;
-// each pool worker accumulates a private sᵃ×sᵇ block over its fixed row
-// chunk and the partials are reduced in part order.
+// cache-blocked pass over X and Y, instead of sᵃ·sᵇ independent n-length
+// Dot streams. Rows are tiled so both operand tiles stay in L2; each pool
+// worker accumulates a private sᵃ×sᵇ block over its fixed row chunk and the
+// partials are reduced in part order. With one worker (or below the
+// parallel threshold) it is exactly Gram.
 func GramFused(x, y *Block) []float64 {
+	return gramFused(active, x, y)
+}
+
+func gramFused(k *kernelSet, x, y *Block) []float64 {
 	if x.N != y.N {
 		panic("vec: GramFused row-count mismatch")
 	}
@@ -56,13 +61,13 @@ func GramFused(x, y *Block) []float64 {
 	p := pool.Default()
 	n := x.N
 	if n*sa*sb < parallelThreshold || p.Workers() == 1 {
-		gramAccum(out, x, y, 0, n)
+		gramAccum(k, out, x, y, 0, n)
 		return out
 	}
 	parts := p.NumParts(n)
 	partials := make([]float64, parts*sa*sb)
 	p.Run(n, func(part, lo, hi int) {
-		gramAccum(partials[part*sa*sb:(part+1)*sa*sb], x, y, lo, hi)
+		gramAccum(k, partials[part*sa*sb:(part+1)*sa*sb], x, y, lo, hi)
 	})
 	for t := 0; t < parts; t++ {
 		acc := partials[t*sa*sb : (t+1)*sa*sb]
@@ -73,68 +78,26 @@ func GramFused(x, y *Block) []float64 {
 	return out
 }
 
-// gramAccum adds Xᵀ·Y over rows [lo,hi) into acc, tile by tile.
-func gramAccum(acc []float64, x, y *Block, lo, hi int) {
-	sa, sb := x.S(), y.S()
-	tile := gramTile(sa, sb)
+// gramAccum adds Xᵀ·Y over rows [lo,hi) into acc, one gramTile call per
+// row tile.
+func gramAccum(k *kernelSet, acc []float64, x, y *Block, lo, hi int) {
+	if x.S() == 0 || y.S() == 0 {
+		return
+	}
+	tile := gramTile(x.S(), y.S())
 	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		for i := 0; i < sa; i++ {
-			xi := x.Cols[i][t:te]
-			row := acc[i*sb : (i+1)*sb]
-			for j := 0; j < sb; j++ {
-				row[j] += Dot(xi, y.Cols[j][t:te])
-			}
-		}
+		k.gramTile(acc, x.Cols, y.Cols, t, min(t+tile, hi))
 	}
 }
 
-// GramVecFused computes Xᵀ·v with v's tiles kept cache-resident across the
-// block's columns (one memory pass over X and v).
+// GramVecFused computes Xᵀ·v as the 1×s Gram vᵀ·X (a dot product is
+// symmetric bit for bit), so v's tiles stay cache-resident across the
+// block's columns: one memory pass over X and v.
 func GramVecFused(x *Block, v []float64) []float64 {
 	if len(v) != x.N {
 		panic("vec: GramVecFused length mismatch")
 	}
-	s := x.S()
-	out := make([]float64, s)
-	if s == 0 || x.N == 0 {
-		return out
-	}
-	pool.CountFusedGram()
-	p := pool.Default()
-	n := x.N
-	if n*s < parallelThreshold || p.Workers() == 1 {
-		gramVecAccum(out, x, v, 0, n)
-		return out
-	}
-	parts := p.NumParts(n)
-	partials := make([]float64, parts*s)
-	p.Run(n, func(part, lo, hi int) {
-		gramVecAccum(partials[part*s:(part+1)*s], x, v, lo, hi)
-	})
-	for t := 0; t < parts; t++ {
-		for i, pv := range partials[t*s : (t+1)*s] {
-			out[i] += pv
-		}
-	}
-	return out
-}
-
-func gramVecAccum(acc []float64, x *Block, v []float64, lo, hi int) {
-	tile := gramTile(x.S(), 1)
-	for t := lo; t < hi; t += tile {
-		te := t + tile
-		if te > hi {
-			te = hi
-		}
-		vt := v[t:te]
-		for i, col := range x.Cols {
-			acc[i] += Dot(col[t:te], vt)
-		}
-	}
+	return GramFused(&Block{N: x.N, Cols: [][]float64{v}}, x)
 }
 
 // combineSpan computes, over the span d (rows [off, off+len(d)) of the
@@ -143,10 +106,11 @@ func gramVecAccum(acc []float64, x *Block, v []float64, lo, hi int) {
 //	base == nil: d (+)= Σ_i coef[i]·cols[i]   ("+=" when accumulate)
 //	base != nil: d  = base + Σ_i coef[i]·cols[i]
 //
-// Columns are processed in groups of four so the inner loop carries four
-// independent FMA streams while d stays register/cache resident.
-func combineSpan(d []float64, cols [][]float64, coef []float64, off int, base []float64, accumulate bool) {
-	n := len(d)
+// The first group is one column on top of base, or two columns when d is
+// overwritten; the rest go in groups of four (the combine micro-kernel), so
+// the inner loop carries four independent product streams while d stays
+// register/cache resident.
+func combineSpan(k *kernelSet, d []float64, cols [][]float64, coef []float64, off int, base []float64, accumulate bool) {
 	i := 0
 	if !accumulate {
 		switch {
@@ -158,55 +122,15 @@ func combineSpan(d []float64, cols [][]float64, coef []float64, off int, base []
 			}
 			return
 		case base != nil:
-			x0 := cols[0][off : off+n]
-			c0 := coef[0]
-			for r := 0; r < n; r++ {
-				d[r] = base[r] + c0*x0[r]
-			}
 			i = 1
-		case len(cols) >= 2:
-			x0, x1 := cols[0][off:off+n], cols[1][off:off+n]
-			c0, c1 := coef[0], coef[1]
-			for r := 0; r < n; r++ {
-				d[r] = c0*x0[r] + c1*x1[r]
-			}
-			i = 2
 		default:
-			x0 := cols[0][off : off+n]
-			c0 := coef[0]
-			for r := 0; r < n; r++ {
-				d[r] = c0 * x0[r]
-			}
-			i = 1
+			i = min(2, len(cols))
 		}
+		k.combine(d, base, cols[:i], coef[:i], off)
 	}
-	for ; i+4 <= len(cols); i += 4 {
-		x0, x1 := cols[i][off:off+n], cols[i+1][off:off+n]
-		x2, x3 := cols[i+2][off:off+n], cols[i+3][off:off+n]
-		c0, c1, c2, c3 := coef[i], coef[i+1], coef[i+2], coef[i+3]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r] + c2*x2[r] + c3*x3[r]
-		}
-	}
-	switch len(cols) - i {
-	case 3:
-		x0, x1, x2 := cols[i][off:off+n], cols[i+1][off:off+n], cols[i+2][off:off+n]
-		c0, c1, c2 := coef[i], coef[i+1], coef[i+2]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r] + c2*x2[r]
-		}
-	case 2:
-		x0, x1 := cols[i][off:off+n], cols[i+1][off:off+n]
-		c0, c1 := coef[i], coef[i+1]
-		for r := 0; r < n; r++ {
-			d[r] += c0*x0[r] + c1*x1[r]
-		}
-	case 1:
-		x0 := cols[i][off : off+n]
-		c0 := coef[i]
-		for r := 0; r < n; r++ {
-			d[r] += c0 * x0[r]
-		}
+	for ; i < len(cols); i += 4 {
+		m := min(4, len(cols)-i)
+		k.combine(d, d, cols[i:i+m], coef[i:i+m], off)
 	}
 }
 
@@ -223,11 +147,11 @@ func (b *Block) CombineFused(dst []float64, c []float64) {
 	pool.CountFusedCombine()
 	p := pool.Default()
 	if b.N*(b.S()+1) < parallelThreshold || p.Workers() == 1 {
-		combineSpan(dst, b.Cols, c, 0, nil, false)
+		combineSpan(active, dst, b.Cols, c, 0, nil, false)
 		return
 	}
 	p.Run(b.N, func(part, lo, hi int) {
-		combineSpan(dst[lo:hi], b.Cols, c, lo, nil, false)
+		combineSpan(active, dst[lo:hi], b.Cols, c, lo, nil, false)
 	})
 }
 
@@ -252,11 +176,11 @@ func (b *Block) AddScaledFused(dst []float64, alpha float64, c []float64) {
 	pool.CountFusedCombine()
 	p := pool.Default()
 	if b.N*(b.S()+1) < parallelThreshold || p.Workers() == 1 {
-		combineSpan(dst, b.Cols, coef, 0, nil, true)
+		combineSpan(active, dst, b.Cols, coef, 0, nil, true)
 		return
 	}
 	p.Run(b.N, func(part, lo, hi int) {
-		combineSpan(dst[lo:hi], b.Cols, coef, lo, nil, true)
+		combineSpan(active, dst[lo:hi], b.Cols, coef, lo, nil, true)
 	})
 }
 
@@ -309,9 +233,9 @@ func addMulRange(dst, y, x *Block, ct []float64, lo, hi int) {
 			base := yc[t:te]
 			if &d[0] == &base[0] {
 				// dst aliases y: accumulate in place.
-				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], t, nil, true)
+				combineSpan(active, d, x.Cols, ct[j*sx:(j+1)*sx], t, nil, true)
 			} else {
-				combineSpan(d, x.Cols, ct[j*sx:(j+1)*sx], t, base, false)
+				combineSpan(active, d, x.Cols, ct[j*sx:(j+1)*sx], t, base, false)
 			}
 		}
 	}
@@ -347,7 +271,7 @@ func mulRange(dst, x *Block, ct []float64, lo, hi int) {
 			te = hi
 		}
 		for j := 0; j < sd; j++ {
-			combineSpan(dst.Cols[j][t:te], x.Cols, ct[j*sx:(j+1)*sx], t, nil, false)
+			combineSpan(active, dst.Cols[j][t:te], x.Cols, ct[j*sx:(j+1)*sx], t, nil, false)
 		}
 	}
 }

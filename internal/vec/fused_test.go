@@ -33,6 +33,43 @@ func absDot(a, b []float64) float64 {
 	return s
 }
 
+// naiveGram is the s²-Dot formulation of Xᵀ·Y: every entry one full-length
+// Dot. It and the per-column Axpy references below are the formulations the
+// fused kernels replaced, kept here as independent references.
+func naiveGram(x, y *Block) []float64 {
+	sb := y.S()
+	out := make([]float64, x.S()*sb)
+	for i, xi := range x.Cols {
+		for j, yj := range y.Cols {
+			out[i*sb+j] = Dot(xi, yj)
+		}
+	}
+	return out
+}
+
+// naiveAddScaled computes dst += alpha·(X·c) as one Axpy pass per column.
+func naiveAddScaled(x *Block, dst []float64, alpha float64, c []float64) {
+	for j, col := range x.Cols {
+		Axpy(alpha*c[j], col, dst)
+	}
+}
+
+// naiveAddMul computes dst = Y + X·C (Y == nil: dst = X·C) as one Axpy pass
+// per (column of X, column of dst) pair.
+func naiveAddMul(dst, y, x *Block, c []float64) {
+	sd := dst.S()
+	for j, d := range dst.Cols {
+		if y != nil {
+			copy(d, y.Cols[j])
+		} else {
+			Zero(d)
+		}
+		for i, xi := range x.Cols {
+			Axpy(c[i*sd+j], xi, d)
+		}
+	}
+}
+
 // TestGramFusedMatchesNaive: the fused cache-blocked Gram must agree with the
 // s²-Dot formulation within 1e-13 relative error on random tall-skinny
 // blocks, across sizes that exercise the sequential, tiled and pooled paths.
@@ -43,7 +80,7 @@ func TestGramFusedMatchesNaive(t *testing.T) {
 	} {
 		x := randBlock(rng, tc.n, tc.sa)
 		y := randBlock(rng, tc.n, tc.sb)
-		want := Gram(x, y)
+		want := naiveGram(x, y)
 		got := GramFused(x, y)
 		for i := 0; i < tc.sa; i++ {
 			for j := 0; j < tc.sb; j++ {
@@ -65,7 +102,7 @@ func TestGramVecFusedMatchesNaive(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		want := GramVec(x, v)
+		want := naiveGram(x, &Block{N: n, Cols: [][]float64{v}})
 		got := GramVecFused(x, v)
 		for i := range want {
 			if e := relErrAt(got[i], want[i], absDot(x.Cols[i], v)); e > 1e-13 {
@@ -88,7 +125,7 @@ func TestCombineFusedMatchesNaive(t *testing.T) {
 			c[i] = rng.NormFloat64()
 		}
 		want := make([]float64, tc.n)
-		x.MulVec(want, c)
+		naiveAddScaled(x, want, 1, c)
 		got := make([]float64, tc.n)
 		x.CombineFused(got, c)
 		for i := range want {
@@ -97,17 +134,17 @@ func TestCombineFusedMatchesNaive(t *testing.T) {
 			}
 		}
 
-		// dst += X·c and dst −= X·c against MulVecAdd / MulVecSub.
+		// dst += X·c and dst −= X·c.
 		base := make([]float64, tc.n)
 		for i := range base {
 			base[i] = rng.NormFloat64()
 		}
 		wantAdd := append([]float64(nil), base...)
-		x.MulVecAdd(wantAdd, c)
+		naiveAddScaled(x, wantAdd, 1, c)
 		gotAdd := append([]float64(nil), base...)
 		x.AddScaledFused(gotAdd, 1, c)
 		wantSub := append([]float64(nil), base...)
-		x.MulVecSub(wantSub, c)
+		naiveAddScaled(x, wantSub, -1, c)
 		gotSub := append([]float64(nil), base...)
 		x.AddScaledFused(gotSub, -1, c)
 		for i := range base {
@@ -133,7 +170,7 @@ func TestAddMulFusedMatchesNaive(t *testing.T) {
 			c[i] = rng.NormFloat64()
 		}
 		want := NewBlock(tc.n, tc.sd)
-		AddMul(want, y, x, c)
+		naiveAddMul(want, y, x, c)
 		got := NewBlock(tc.n, tc.sd)
 		AddMulFused(got, y, x, c)
 		for j := 0; j < tc.sd; j++ {
@@ -156,7 +193,7 @@ func TestAddMulFusedMatchesNaive(t *testing.T) {
 		}
 
 		wantM := NewBlock(tc.n, tc.sd)
-		Mul(wantM, x, c)
+		naiveAddMul(wantM, nil, x, c)
 		gotM := NewBlock(tc.n, tc.sd)
 		MulFused(gotM, x, c)
 		for j := 0; j < tc.sd; j++ {
@@ -166,6 +203,60 @@ func TestAddMulFusedMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSerialEntriesMatchFused: Gram, GramVec, MulVec*, AddMul and Mul are
+// the serial, unpooled entries of the fused kernels (what spmd ranks call).
+// The combines match the pooled entries bit for bit at any pool size, since
+// their per-row arithmetic does not depend on the partition; the Gram
+// matches at one worker, where both run the same tiles over all rows.
+func TestSerialEntriesMatchFused(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n, sx, sd = 70_001, 10, 11
+	x, y := randBlock(rng, n, sx), randBlock(rng, n, sd)
+	c := make([]float64, sx*sd)
+	for i := range c {
+		c[i] = rng.NormFloat64()
+	}
+	v := randVec(rng, n)
+	bits := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d %v != %v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	prev := SetMaxWorkers(1)
+	bits("Gram", Gram(x, y), GramFused(x, y))
+	bits("GramVec", GramVec(x, v), GramVecFused(x, v))
+	SetMaxWorkers(3)
+	defer SetMaxWorkers(prev)
+
+	cv := c[:sx]
+	got, want := make([]float64, n), make([]float64, n)
+	x.MulVec(got, cv)
+	x.CombineFused(want, cv)
+	bits("MulVec", got, want)
+	x.MulVecAdd(got, cv)
+	x.AddScaledFused(want, 1, cv)
+	bits("MulVecAdd", got, want)
+	x.MulVecSub(got, cv)
+	x.AddScaledFused(want, -1, cv)
+	bits("MulVecSub", got, want)
+
+	gotB, wantB := NewBlock(n, sd), NewBlock(n, sd)
+	AddMul(gotB, y, x, c)
+	AddMulFused(wantB, y, x, c)
+	for j := range gotB.Cols {
+		bits("AddMul", gotB.Cols[j], wantB.Cols[j])
+	}
+	Mul(gotB, x, c)
+	MulFused(wantB, x, c)
+	for j := range gotB.Cols {
+		bits("Mul", gotB.Cols[j], wantB.Cols[j])
 	}
 }
 

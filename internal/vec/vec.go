@@ -16,27 +16,16 @@ import (
 
 // Dot returns the inner product aᵀb. Panics if lengths differ.
 //
-// The loop is 4-way unrolled with independent accumulators (combined in the
-// fixed order (s0+s1)+(s2+s3)), which breaks the FP dependency chain that
-// otherwise serializes the adds. The summation order differs from a plain
-// sequential loop but is itself fixed, so results stay deterministic.
+// The sum runs in four strided lanes (lane k adds rows ≡ k mod 4), which
+// breaks the FP dependency chain that otherwise serializes the adds; the
+// row tail goes into lane 0 and the lanes combine in the fixed order
+// (s0+s1)+(s2+s3). The order differs from a plain sequential loop but is
+// itself fixed, so results stay deterministic (see kernels.go).
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot length mismatch %d != %d", len(a), len(b)))
 	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
+	return active.dot(a, b)
 }
 
 // Norm2 returns the Euclidean norm ‖a‖₂ computed with scaling to avoid
