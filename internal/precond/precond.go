@@ -91,6 +91,11 @@ func (p *Jacobi) Apply(dst, src []float64) { vec.HadamardInto(dst, p.invDiag, sr
 // exposing InvDiag can be applied inside the SpMV row loop.
 func (p *Jacobi) InvDiag() []float64 { return p.invDiag }
 
+// Rows returns the preconditioner restricted to rows [lo, hi): the exact
+// rank-local block of a block-row distribution, since Jacobi is pointwise.
+// It shares the inverse diagonal with p.
+func (p *Jacobi) Rows(lo, hi int) *Jacobi { return &Jacobi{invDiag: p.invDiag[lo:hi]} }
+
 // Dim returns n.
 func (p *Jacobi) Dim() int { return len(p.invDiag) }
 

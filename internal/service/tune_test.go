@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -82,23 +83,25 @@ func TestAutoEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Warm-path auto solve: resolved from the store, tuned config reported.
-	solveMin := func(method string) (JobStatus, float64) {
-		t.Helper()
-		best := JobStatus{}
-		bestMS := 0.0
-		for i := 0; i < 3; i++ {
+	// Warm-path solves: auto (resolved from the store, tuned config
+	// reported) and the static PCG baseline. The sub-millisecond solve
+	// times are bimodal, so each method keeps its fastest of many samples,
+	// and the samples alternate so a slow stretch of the host hits both.
+	var auto JobStatus
+	autoMS, pcgMS := math.Inf(1), math.Inf(1)
+	for i := 0; i < 15; i++ {
+		for _, method := range []string{"auto", "pcg"} {
 			code, st := postSolve(t, ts.URL, SolveRequest{Matrix: illMatrix, Method: method})
 			if code != http.StatusOK || st.State != JobDone {
 				t.Fatalf("solve method=%s: HTTP %d state=%s result=%+v", method, code, st.State, st.Result)
 			}
-			if bestMS == 0 || st.Result.SolveMS < bestMS {
-				best, bestMS = st, st.Result.SolveMS
+			if method == "pcg" {
+				pcgMS = math.Min(pcgMS, st.Result.SolveMS)
+			} else if st.Result.SolveMS < autoMS {
+				auto, autoMS = st, st.Result.SolveMS
 			}
 		}
-		return best, bestMS
 	}
-	auto, autoMS := solveMin("auto")
 	if auto.Result.TuneSource != "store" {
 		t.Errorf("auto resolution source = %q, want store", auto.Result.TuneSource)
 	}
@@ -108,11 +111,10 @@ func TestAutoEndToEnd(t *testing.T) {
 	if !auto.Result.Converged {
 		t.Errorf("auto solve did not converge: %+v", auto.Result)
 	}
-	_, pcgMS := solveMin("pcg")
 	// The tuned configuration must not lose to the static PCG baseline
 	// (generous slack absorbs scheduler noise on tiny solves).
 	if autoMS > pcgMS*1.25 {
-		t.Errorf("auto solve (%.3fms) slower than static pcg baseline (%.3fms)", autoMS, pcgMS)
+		t.Errorf("auto solve with %v (%.3fms) slower than static pcg baseline (%.3fms)", d.Winner, autoMS, pcgMS)
 	}
 
 	shutdownServer(t, s)

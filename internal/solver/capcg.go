@@ -27,28 +27,16 @@ import (
 // steps (vs. s for PCG/sPCG/CA-PCG3), which Table 3 and Figure 1 show makes
 // it slower than standard PCG even with a cheap Jacobi preconditioner.
 func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
+	return run(capcg, a, m, b, opts)
+}
+
+func capcg(c *ctx, b []float64, opts Options) ([]float64, error) {
+	n, s, stats := c.n, opts.S, c.stats
+	params, err := resolveBasis(c.a, c.m, &opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
-	params, err := resolveBasis(a, c.m, &opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	x := c.initialGuess(opts)
 
 	dim := 2*s + 1
 	r := make([]float64, n)
@@ -69,9 +57,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 	bMat := params.CAPCGChangeOfBasis(s)
 
 	// r⁰ = b − A·x⁰, u⁰ = M⁻¹r⁰, q⁰ = r⁰, p⁰ = u⁰.
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 	c.applyM(u, r)
 	copy(q, r)
 	copy(p, u)
@@ -88,11 +74,11 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 
 	for k := 0; k <= maxOuter; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		// Convergence check at the block boundary.
-		rho := c.localDot(r, u)
-		if !finite(rho) || rho < 0 {
+		rho, rr := c.boundary(r, u, opts.Criterion)
+		if !finite(rho, rr) || rho < 0 {
 			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at outer iteration %d", ErrBreakdown, rho, k)
 			break
 		}
@@ -101,7 +87,7 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 		case TrueResidual2Norm:
 			critVal = c.trueResidualNorm(b, x, scratch)
 		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r))
+			critVal = math.Sqrt(rr)
 		case RecursiveResidualMNorm:
 			critVal = math.Sqrt(rho)
 		}
@@ -135,12 +121,11 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 
 		// Gram matrix G = ZᵀY: the single global reduction of the outer
 		// iteration (payload (2s+1)², +1 when the 2-norm criterion is fused).
-		g := dense.FromRowMajor(dim, dim, c.gramLocal(z, y))
 		payload := dim * dim
 		if opts.Criterion == RecursiveResidual2Norm {
 			payload++
 		}
-		c.allreduce(payload)
+		g := dense.FromRowMajor(dim, dim, c.reduce(payload, c.gram(z, y)...))
 
 		// Inner loop on (2s+1)-vectors: exact PCG arithmetic in the basis.
 		for i := range pc {
@@ -181,22 +166,21 @@ func CAPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]flo
 
 		// Recovery: q = Y·p', r = Y·r', p = Z·p', u = Z·r', x += Z·x'
 		// (the O(sn) cost the paper credits CA-PCG's local work advantage to).
-		c.blockMulVec(q, y, pc)
-		c.blockMulVec(r, y, rc)
-		c.blockMulVec(p, z, pc)
-		c.blockMulVec(u, z, rc)
-		c.blockMulVecAdd(x, z, xc)
+		c.blockVec(c.k.combine, q, y, pc)
+		c.blockVec(c.k.combine, r, y, rc)
+		c.blockVec(c.k.combine, p, z, pc)
+		c.blockVec(c.k.combine, u, z, rc)
+		c.blockVec(c.k.addTo, x, z, xc)
 
 		stats.OuterIterations = k + 1
 		stats.Iterations = (k + 1) * s
-		if broke || !finite(r[0]) {
-			if stats.Breakdown == nil {
-				stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			}
+		// A diverged residual surfaces as a non-finite rᵀu at the next
+		// boundary: a reduced value, so every rank takes the same branch.
+		if broke {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finishRun(c, b, x, opts), nil
 }
 
 // matVec computes dst = M·v for a small dense matrix.

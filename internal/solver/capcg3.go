@@ -29,28 +29,16 @@ import (
 // The updates of x, r, u (and the n-vector gathers for w, v) are BLAS1,
 // which is the performance drawback the paper's §4.1 identifies.
 func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
+	return run(capcg3, a, m, b, opts)
+}
+
+func capcg3(c *ctx, b []float64, opts Options) ([]float64, error) {
+	n, s, stats := c.n, opts.S, c.stats
+	params, err := resolveBasis(c.a, c.m, &opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
-	params, err := resolveBasis(a, c.m, &opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	x := c.initialGuess(opts)
 
 	dim := 2*s + 1
 	r := make([]float64, n)
@@ -91,9 +79,7 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 	d := make([]float64, dim)
 	tmp := make([]float64, dim)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 
 	var ck *checker
 	maxOuter := (opts.MaxIterations + s - 1) / s
@@ -101,11 +87,11 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 
 	for k := 0; k <= maxOuter; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		c.applyM(u, r)
-		rho0 := c.localDot(r, u)
-		if !finite(rho0) || rho0 < 0 {
+		rho0, rr := c.boundary(r, u, opts.Criterion)
+		if !finite(rho0, rr) || rho0 < 0 {
 			stats.Breakdown = fmt.Errorf("%w: rᵀM⁻¹r = %v at outer iteration %d", ErrBreakdown, rho0, k)
 			break
 		}
@@ -114,7 +100,7 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 		case TrueResidual2Norm:
 			critVal = c.trueResidualNorm(b, x, scratch)
 		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r))
+			critVal = math.Sqrt(rr)
 		case RecursiveResidualMNorm:
 			critVal = math.Sqrt(rho0)
 		}
@@ -137,12 +123,11 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 		}
 
 		// Gram matrix: the single global reduction.
-		gm := dense.FromRowMajor(dim, dim, c.gramLocal(uv, rw))
 		payload := dim * dim
 		if opts.Criterion == RecursiveResidual2Norm {
 			payload++
 		}
-		c.allreduce(payload)
+		gm := dense.FromRowMajor(dim, dim, c.reduce(payload, c.gram(uv, rw)...))
 
 		// Change-of-basis map T: AM⁻¹·[R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾] = [R⁽ᵏ⁻¹⁾, W⁽ᵏ⁾]·T.
 		t := dense.NewMat(dim, dim)
@@ -210,8 +195,8 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 			gammaOld[j], rhoOld[j] = gamma, rho
 
 			// w = A·u and v = M⁻¹A·u, gathered without communication.
-			c.blockMulVec(w, rw, d)
-			c.blockMulVec(v, uv, d)
+			c.blockVec(c.k.combine, w, rw, d)
+			c.blockVec(c.k.combine, v, uv, d)
 
 			// Three-term BLAS1 updates.
 			c.threeTermUpdate(xNext, rho, x, -gamma, u, xPrev)
@@ -235,12 +220,11 @@ func CAPCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]fl
 		uOld.CopyFrom(uNew)
 		stats.OuterIterations = k + 1
 		stats.Iterations = globalStep
-		if broke || !finite(r[0]) {
-			if stats.Breakdown == nil {
-				stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			}
+		// A diverged residual surfaces as a non-finite rᵀu at the next
+		// boundary: a reduced value, so every rank takes the same branch.
+		if broke {
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finishRun(c, b, x, opts), nil
 }

@@ -23,24 +23,21 @@ import (
 // x += W·(WᵀAW)⁻¹·Wᵀ·b. Each application costs one (small) dense solve and
 // 2k axpys; AW is precomputed.
 func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
 	if w == nil || w.S() == 0 {
 		return PCG(a, m, b, opts)
 	}
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
+	return run(func(c *ctx, b []float64, opts Options) ([]float64, error) {
+		return deflatedPCG(c, b, w, opts)
+	}, a, m, b, opts)
+}
+
+func deflatedPCG(c *ctx, b []float64, w *vec.Block, opts Options) ([]float64, error) {
+	n, stats := c.n, c.stats
 	if w.N != n {
-		return nil, nil, fmt.Errorf("%w: deflation block has %d rows, n=%d", ErrDimension, w.N, n)
+		return nil, fmt.Errorf("%w: deflation block has %d rows, n=%d", ErrDimension, w.N, n)
 	}
 	if opts.X0 != nil {
-		return nil, nil, fmt.Errorf("solver: DeflatedPCG does not support a nonzero initial guess")
+		return nil, fmt.Errorf("solver: DeflatedPCG does not support a nonzero initial guess")
 	}
 	k := w.S()
 
@@ -49,26 +46,23 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 	for j := 0; j < k; j++ {
 		c.spmv(aw.Col(j), w.Col(j))
 	}
-	waw := dense.FromRowMajor(k, k, c.gramLocal(w, aw))
-	c.allreduce(k * k)
+	waw := dense.FromRowMajor(k, k, c.reduce(k*k, c.gram(w, aw)...))
 	waw.Symmetrize()
 	if cond := dense.Cond2SPD(waw); cond > 1e12 {
-		return nil, nil, fmt.Errorf("solver: WᵀAW has condition %.2g — deflation vectors are numerically dependent", cond)
+		return nil, fmt.Errorf("solver: WᵀAW has condition %.2g — deflation vectors are numerically dependent", cond)
 	}
 	chol, err := dense.Cholesky(waw)
 	if err != nil {
-		return nil, nil, fmt.Errorf("solver: WᵀAW not SPD (deflation vectors dependent?): %w", err)
+		return nil, fmt.Errorf("solver: WᵀAW not SPD (deflation vectors dependent?): %w", err)
 	}
 
 	// project applies Π: v −= AW·(WᵀAW)⁻¹·Wᵀ·v (one k-value allreduce).
-	coef := make([]float64, k)
 	project := func(v []float64) error {
-		copy(coef, c.gramVecLocal(w, v))
-		c.allreduce(k)
+		coef := c.reduce(k, c.gramVec(w, v)...)
 		if err := chol.Solve(coef); err != nil {
 			return err
 		}
-		c.blockMulVecSub(v, aw, coef)
+		c.blockVec(c.k.subFrom, v, aw, coef)
 		return nil
 	}
 
@@ -80,37 +74,35 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 	scratch := make([]float64, n)
 
 	if err := project(r); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.applyM(u, r)
 	rho := c.dot(r, u)
 	if !finite(rho) || rho < 0 {
 		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, rho)
-		return finishDeflated(c, a, b, x, w, chol, opts, stats)
+		return finishDeflated(c, b, x, w, chol, opts)
 	}
 	copy(p, u)
 
 	initial := math.Sqrt(math.Max(rho, 0))
 	if opts.Criterion != RecursiveResidualMNorm {
-		v := c.localDot(r, r)
-		c.allreduce(1)
-		initial = math.Sqrt(v)
+		initial = math.Sqrt(c.dot(r, r))
 	}
 	ck := newChecker(opts, initial, stats)
 	if ck.done(initial) {
 		stats.Converged = true
-		return finishDeflated(c, a, b, x, w, chol, opts, stats)
+		return finishDeflated(c, b, x, w, chol, opts)
 	}
 
 	for i := 0; i < opts.MaxIterations; i++ {
 		if c.cancelled() {
 			// The deflated correction step still runs: the partial iterate is
 			// returned with its exactly-solvable component included.
-			x, stats, err := finishDeflated(c, a, b, x, w, chol, opts, stats)
+			x, err := finishDeflated(c, b, x, w, chol, opts)
 			if err == nil && !stats.Converged {
 				err = ErrCancelled
 			}
-			return x, stats, err
+			return x, err
 		}
 		c.spmv(s, p)
 		if err := project(s); err != nil {
@@ -149,24 +141,19 @@ func DeflatedPCG(a *sparse.CSR, m precond.Interface, b []float64, w *vec.Block, 
 			break
 		}
 	}
-	return finishDeflated(c, a, b, x, w, chol, opts, stats)
+	return finishDeflated(c, b, x, w, chol, opts)
 }
 
 // finishDeflated adds the deflated component: the CG part leaves a residual
 // inside A·span(W), removed by x += W·(WᵀAW)⁻¹·Wᵀ·(b − A·x). Fills the
 // shared end-of-run stats.
-func finishDeflated(c *ctx, a *sparse.CSR, b, x []float64, w *vec.Block, chol *dense.Chol, opts Options, stats *Stats) ([]float64, *Stats, error) {
-	k := w.S()
+func finishDeflated(c *ctx, b, x []float64, w *vec.Block, chol *dense.Chol, opts Options) ([]float64, error) {
 	res := make([]float64, c.n)
-	c.spmv(res, x)
-	vec.Sub(res, b, res)
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
-	coef := make([]float64, k)
-	copy(coef, c.gramVecLocal(w, res))
-	c.allreduce(k)
+	c.residual(res, b, x)
+	coef := c.reduce(w.S(), c.gramVec(w, res)...)
 	if err := chol.Solve(coef); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c.blockMulVecAdd(x, w, coef)
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	c.blockVec(c.k.addTo, x, w, coef)
+	return finishRun(c, b, x, opts), nil
 }

@@ -6,31 +6,18 @@ import (
 
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PCG solves A·x = b with the standard Preconditioned Conjugate Gradient
 // method (paper Algorithm 1). It performs two global reductions per
 // iteration — the scalability bottleneck the s-step variants remove.
 func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return run(pcg, a, m, b, opts)
+}
 
+func pcg(c *ctx, b []float64, opts Options) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x := c.initialGuess(opts)
 	r := make([]float64, n)
 	u := make([]float64, n)
 	p := make([]float64, n)
@@ -38,28 +25,26 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 	scratch := make([]float64, n)
 
 	// r⁰ = b − A·x⁰, u⁰ = M⁻¹r⁰, p⁰ = u⁰.
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 	c.applyM(u, r)
 
 	rho := c.dot(r, u)
 	if !finite(rho) || rho < 0 {
 		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v (preconditioner not SPD?)", ErrBreakdown, rho)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	copy(p, u)
 
 	initial, err := initialCriterionValue(c, opts, b, x, r, rho, scratch)
 	if err != nil {
 		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	ck := newChecker(opts, initial, stats)
 	// Check the initial state (x⁰ may already solve the system).
 	if ck.done(initial) {
 		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	// Fault detection/recovery (opt-in): verified initial state is the first
 	// checkpoint, so a rollback is always possible.
@@ -70,7 +55,7 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 
 	for i := 0; i < opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		c.spmv(s, p)
 		den := c.dot(p, s) // global reduction 1
@@ -92,12 +77,10 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 		// Global reduction 2: rᵀu (and ‖r‖² fused when the criterion needs it).
 		var rhoNew, rr float64
 		if opts.Criterion == RecursiveResidual2Norm {
-			rhoNew = c.localDot(r, u)
-			rr = c.localDot(r, r)
-			c.allreduce(2)
+			v := c.reduce(2, c.localDot(r, u), c.localDot(r, r))
+			rhoNew, rr = v[0], v[1]
 		} else {
-			rhoNew = c.localDot(r, u)
-			c.allreduce(1)
+			rhoNew = c.dot(r, u)
 		}
 		if !finite(rhoNew) || rhoNew < 0 {
 			if g.restore(x, r, p, &rho) {
@@ -136,7 +119,7 @@ func PCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finishRun(c, b, x, opts), nil
 }
 
 // initialCriterionValue computes the criterion's reference value for the
@@ -145,8 +128,7 @@ func initialCriterionValue(c *ctx, opts Options, b, x, r []float64, rho float64,
 	switch opts.Criterion {
 	case TrueResidual2Norm, RecursiveResidual2Norm:
 		// ‖r⁰‖₂: the true and recursive residuals coincide initially.
-		v := c.localDot(r, r)
-		c.allreduce(1)
+		v := c.dot(r, r)
 		if !finite(v) {
 			return 0, fmt.Errorf("%w: initial ‖r‖² = %v", ErrBreakdown, v)
 		}
@@ -158,34 +140,42 @@ func initialCriterionValue(c *ctx, opts Options, b, x, r []float64, rho float64,
 	}
 }
 
-// finishRun fills the end-of-run stats shared by all solvers. A run that
-// broke down *after* actually reaching the requested accuracy (common when a
-// block method converges mid-block and the next Gram matrix is numerically
-// singular) is reported as converged — the paper's tables count accuracy
-// reached, not the internal stopping path.
-func finishRun(c *ctx, a *sparse.CSR, b, x []float64, opts Options, stats *Stats) []float64 {
-	stats.TrueRelResidual = rawTrueRelResidual(a, b, x, opts.X0)
-	if !stats.Converged && stats.TrueRelResidual <= opts.Tol {
-		stats.Converged = true
+// finishRun fills the end-of-run stats shared by all solvers. On a rank
+// the true residual needs the whole solution, so Distributed reports it.
+func finishRun(c *ctx, b, x []float64, opts Options) []float64 {
+	if c.rank == nil {
+		reportTrueResidual(c.a, b, x, opts.X0, opts.Tol, c.stats)
 	}
 	if c.tr != nil {
-		stats.SimTime = c.tr.Time
-		stats.RetriedMessages = c.tr.Counts.RetriedMessages
+		c.stats.SimTime = c.tr.Time
+		c.stats.RetriedMessages = c.tr.Counts.RetriedMessages
 	}
 	if c.obs != nil {
-		stats.Phases = c.obs.Breakdown().Phases
+		c.stats.Phases = c.obs.Breakdown().Phases
 	}
 	return x
+}
+
+// reportTrueResidual sets Stats.TrueRelResidual of x. A run that broke down
+// *after* actually reaching the requested accuracy (common when a block
+// method converges mid-block and the next Gram matrix is numerically
+// singular) is reported as converged — the paper's tables count accuracy
+// reached, not the internal stopping path.
+func reportTrueResidual(a *sparse.CSR, b, x, x0 []float64, tol float64, stats *Stats) {
+	stats.TrueRelResidual = rawTrueRelResidual(a, b, x, x0)
+	if !stats.Converged && stats.TrueRelResidual <= tol {
+		stats.Converged = true
+	}
 }
 
 // finishCancelled finalizes a run whose Options.Cancel fired: the partial
 // iterate and stats are returned like any other early stop, with ErrCancelled
 // as the error — unless the iterate already meets the tolerance, in which
 // case the run simply reports convergence.
-func finishCancelled(c *ctx, a *sparse.CSR, b, x []float64, opts Options, stats *Stats) ([]float64, *Stats, error) {
-	x = finishRun(c, a, b, x, opts, stats)
-	if stats.Converged {
-		return x, stats, nil
+func finishCancelled(c *ctx, b, x []float64, opts Options) ([]float64, error) {
+	x = finishRun(c, b, x, opts)
+	if c.stats.Converged {
+		return x, nil
 	}
-	return x, stats, ErrCancelled
+	return x, ErrCancelled
 }

@@ -6,7 +6,6 @@ import (
 
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PCG3 solves A·x = b with the Rutishauser three-term-recurrence variant of
@@ -21,24 +20,12 @@ import (
 // than PCG's coupled two-term form (Gutknecht & Strakoš), which is the
 // numerical weakness CA-PCG3 inherits.
 func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return run(pcg3, a, m, b, opts)
+}
 
+func pcg3(c *ctx, b []float64, opts Options) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x := c.initialGuess(opts)
 	r := make([]float64, n)
 	u := make([]float64, n)
 	w := make([]float64, n)
@@ -51,42 +38,40 @@ func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 	uNext := make([]float64, n)
 	scratch := make([]float64, n)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 	c.applyM(u, r)
 
 	mu := c.dot(r, u)
 	if !finite(mu) || mu < 0 {
 		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, mu)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	initial, err := initialCriterionValue(c, opts, b, x, r, mu, scratch)
 	if err != nil {
 		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	ck := newChecker(opts, initial, stats)
 	if ck.done(initial) {
 		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 
 	rho := 1.0
 	var gammaPrev, muPrev, rhoPrev float64
 	for i := 0; i < opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		c.spmv(w, u)   // w = A·u
 		c.applyM(v, w) // v = M⁻¹·A·u
 		var rr float64
 		var dots []float64
 		if opts.Criterion == RecursiveResidual2Norm {
-			dots = c.fusedDots([2][]float64{r, u}, [2][]float64{u, w}, [2][]float64{r, r})
+			dots = c.dots([2][]float64{r, u}, [2][]float64{u, w}, [2][]float64{r, r})
 			rr = dots[2]
 		} else {
-			dots = c.fusedDots([2][]float64{r, u}, [2][]float64{u, w})
+			dots = c.dots([2][]float64{r, u}, [2][]float64{u, w})
 		}
 		mu, nu := dots[0], dots[1]
 		if !finite(mu, nu) || nu <= 0 || mu < 0 {
@@ -132,5 +117,5 @@ func PCG3(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finishRun(c, b, x, opts), nil
 }

@@ -7,7 +7,6 @@ import (
 	"spcg/internal/obs"
 	"spcg/internal/precond"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 // PipelinedPCG solves A·x = b with the communication-hiding pipelined PCG of
@@ -26,24 +25,12 @@ import (
 // the longer recurrence chains, which is why its residual can stagnate
 // earlier than PCG's (Cools et al. 2019 propose corrected variants).
 func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	return run(pipelinedPCG, a, m, b, opts)
+}
 
+func pipelinedPCG(c *ctx, b []float64, opts Options) ([]float64, error) {
+	n, stats := c.n, c.stats
+	x := c.initialGuess(opts)
 	r := make([]float64, n)
 	u := make([]float64, n)
 	w := make([]float64, n)
@@ -55,32 +42,30 @@ func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options)
 	p := make([]float64, n)
 	scratch := make([]float64, n)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 	c.applyM(u, r)
 	c.spmv(w, u)
 
 	gamma := c.dot(r, u)
 	if !finite(gamma) || gamma < 0 {
 		stats.Breakdown = fmt.Errorf("%w: initial rᵀM⁻¹r = %v", ErrBreakdown, gamma)
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	initial, err := initialCriterionValue(c, opts, b, x, r, gamma, scratch)
 	if err != nil {
 		stats.Breakdown = err
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 	ck := newChecker(opts, initial, stats)
 	if ck.done(initial) {
 		stats.Converged = true
-		return finishRun(c, a, b, x, opts, stats), stats, nil
+		return finishRun(c, b, x, opts), nil
 	}
 
 	var alpha, gammaOld float64
 	for i := 0; i < opts.MaxIterations; i++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		// Local dots for γ = (r,u), δ = (w,u) — and ‖r‖² when the 2-norm
 		// criterion is active — then ONE non-blocking allreduce whose
@@ -155,5 +140,5 @@ func PipelinedPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options)
 			break
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return finishRun(c, b, x, opts), nil
 }

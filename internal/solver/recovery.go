@@ -3,8 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-
-	"spcg/internal/vec"
 )
 
 // guard implements the solvers' fault detection and recovery: a
@@ -79,17 +77,14 @@ func (g *guard) due(step int) bool {
 // corrupted probe triggers a (conservative) rollback like any other fault.
 func (g *guard) corrupted(x, r, scratch []float64) bool {
 	c := g.c
-	c.spmv(scratch, x)
-	vec.Sub(scratch, g.b, scratch)
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
+	c.residual(scratch, g.b, x)
 	var diff float64
 	for i := range scratch {
 		d := scratch[i] - r[i]
 		diff += d * d
 	}
 	c.tr.ReduceLocal(2*float64(c.n), 24*float64(c.n))
-	c.allreduce(1)
-	if math.Sqrt(diff) > g.tolAbs {
+	if math.Sqrt(c.reduce(1, diff)[0]) > g.tolAbs {
 		c.stats.DetectedFaults++
 		return true
 	}

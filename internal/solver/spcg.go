@@ -29,7 +29,7 @@ import (
 // DESIGN.md: the B⁽ᵏ⁾ system is solved with the transpose orientation that
 // the A-orthogonality condition P⁽ᵏ⁾ᵀAP⁽ᵏ⁻¹⁾ = 0 actually requires.
 func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	return runSStep(a, m, b, opts, false)
+	return run(spcg, a, m, b, opts)
 }
 
 // SPCGMon solves A·x = b with the original monomial-basis s-step PCG of
@@ -41,37 +41,27 @@ func SPCG(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]floa
 // different rounding behaviour (paper §3.2, final paragraph). The basis is
 // monomial by construction; Options.Basis is ignored.
 func SPCGMon(a *sparse.CSR, m precond.Interface, b []float64, opts Options) ([]float64, *Stats, error) {
-	return runSStep(a, m, b, opts, true)
+	return run(spcgMon, a, m, b, opts)
 }
 
-// runSStep is the shared driver for SPCG (momentForm=false) and sPCGmon
+func spcg(c *ctx, b []float64, opts Options) ([]float64, error) {
+	return runSStep(c, b, opts, false)
+}
+
+func spcgMon(c *ctx, b []float64, opts Options) ([]float64, error) {
+	opts.Basis = 0 // monomial by construction
+	return runSStep(c, b, opts, true)
+}
+
+// runSStep is the shared iteration of SPCG (momentForm=false) and sPCGmon
 // (momentForm=true).
-func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, momentForm bool) ([]float64, *Stats, error) {
-	opts = opts.withDefaults()
-	stats := &Stats{}
-	c, err := newCtx(a, m, &opts, stats)
+func runSStep(c *ctx, b []float64, opts Options, momentForm bool) ([]float64, error) {
+	n, s, stats := c.n, opts.S, c.stats
+	params, err := resolveBasis(c.a, c.m, &opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := c.n
-	if len(b) != n {
-		return nil, nil, fmt.Errorf("%w: len(b)=%d, n=%d", ErrDimension, len(b), n)
-	}
-	s := opts.S
-	if momentForm {
-		opts.Basis = 0 // monomial by construction
-	}
-	params, err := resolveBasis(a, c.m, &opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, fmt.Errorf("%w: len(x0)=%d, n=%d", ErrDimension, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
+	x := c.initialGuess(opts)
 
 	// State across outer iterations.
 	r := make([]float64, n)
@@ -89,14 +79,16 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 	// B (change of basis): AU⁽ᵏ⁾ = S⁽ᵏ⁾·B, (s+1)×s.
 	bMat := params.ChangeOfBasis(s + 1)
 
-	c.spmv(r, x)
-	vec.Sub(r, b, r)
-	c.tr.VectorOp(float64(n), 24*float64(n))
+	c.residual(r, b, x)
 
 	var ck *checker
 	maxOuter := (opts.MaxIterations + s - 1) / s
 	haveHistory := false // P⁽ᵏ⁻¹⁾/AP⁽ᵏ⁻¹⁾ valid (false at k=0 and after restarts)
 	bestVal := math.Inf(1)
+	// truncated holds the W⁽ᵏ⁾ breakdown of a block that took only a leading
+	// part of its basis (see leadingSolve); the run ends at the next check
+	// unless that check converges.
+	var truncated error
 
 	// Fault detection/recovery (opt-in). Only (x, r) need checkpointing: a
 	// rollback drops the search-direction history exactly like a regression
@@ -113,19 +105,20 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		}
 		haveHistory = false
 		bestVal = math.Inf(1)
+		truncated = nil
 		return true
 	}
 
 	for k := 0; k <= maxOuter; k++ {
 		if c.cancelled() {
-			return finishCancelled(c, a, b, x, opts, stats)
+			return finishCancelled(c, b, x, opts)
 		}
 		// u⁽ᵏ⁾ = M⁻¹r⁽ᵏ⁾ (needed for both the criterion and the MPK).
 		c.applyM(u, r)
 
 		// Convergence check at the block boundary (every s steps, paper §5.2).
-		rho := c.localDot(r, u)
-		if !finite(rho) || rho < 0 {
+		rho, rr := c.boundary(r, u, opts.Criterion)
+		if !finite(rho, rr) || rho < 0 {
 			if recoverState() {
 				continue
 			}
@@ -137,7 +130,7 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		case TrueResidual2Norm:
 			critVal = c.trueResidualNorm(b, x, scratch)
 		case RecursiveResidual2Norm:
-			critVal = math.Sqrt(c.localDot(r, r)) // fused into the Gram allreduce below
+			critVal = math.Sqrt(rr) // fused into the Gram allreduce below
 		case RecursiveResidualMNorm:
 			critVal = math.Sqrt(rho) // free: rᵀu is part of the Gram
 		}
@@ -146,6 +139,10 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		}
 		if ck.done(critVal) {
 			stats.Converged = true
+			break
+		}
+		if truncated != nil {
+			stats.Breakdown = truncated
 			break
 		}
 		if k == maxOuter || k*s >= opts.MaxIterations {
@@ -189,43 +186,50 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		// Scalar Work: one fused global reduction.
 		var w, cMat *dense.Mat // W⁽ᵏ⁾ = P⁽ᵏ⁾ᵀAU⁽ᵏ⁾ ; C = P⁽ᵏ⁻¹⁾ᵀAU⁽ᵏ⁾
 		var mVec []float64     // m⁽ᵏ⁾ = R⁽ᵏ⁾ᵀu⁽ᵏ⁾
-		payload := 0
 		useHist := haveHistory
+		var red []float64 // the reduction's payload
 		if momentForm {
 			// sPCGmon: 2s moments + (substituted) fused Gram for C.
-			mu := make([]float64, 2*s)
+			red = make([]float64, 2*s)
 			for l := 0; l < s; l++ {
-				mu[l] = c.localDot(r, U.Col(l))
+				red[l] = c.localDot(r, U.Col(l))
 			}
 			for l := s; l < 2*s; l++ {
-				mu[l] = c.localDot(S.Col(l-s+1), U.Col(s-1))
+				red[l] = c.localDot(S.Col(l-s+1), U.Col(s-1))
 			}
-			payload += 2 * s
-			// Hankel fill: (UᵀAU)[i][j] = μ_{i+j+1}, m[j] = μ_j.
-			uau := dense.NewMat(s, s)
-			for i := 0; i < s; i++ {
-				for j := 0; j < s; j++ {
-					uau.Set(i, j, mu[i+j+1])
-				}
-			}
-			mVec = append([]float64(nil), mu[:s]...)
 			if useHist {
 				// C = P⁽ᵏ⁻¹⁾ᵀAU⁽ᵏ⁾ = (AP⁽ᵏ⁻¹⁾)ᵀU⁽ᵏ⁾ fused into the same
 				// allreduce (documented substitution for the 1989 moment
 				// recurrence; see DESIGN.md).
-				cMat = dense.FromRowMajor(s, s, c.gramLocal(AP, U))
-				payload += s * s
+				red = append(red, c.gram(AP, U)...)
 			}
-			w = uau
 		} else {
 			// sPCG: G1 = U⁽ᵏ⁾ᵀS⁽ᵏ⁾ and (k>0) G2 = P⁽ᵏ⁻¹⁾ᵀS⁽ᵏ⁾, fused.
-			g1 := dense.FromRowMajor(s, s+1, c.gramLocal(U, S))
-			payload += s * (s + 1)
-			var g2 *dense.Mat
+			red = c.gram(U, S)
 			if useHist {
-				g2 = dense.FromRowMajor(s, s+1, c.gramLocal(P, S))
-				payload += s * (s + 1)
+				red = append(red, c.gram(P, S)...)
 			}
+		}
+		payload := len(red)
+		if opts.Criterion == RecursiveResidual2Norm {
+			payload++ // the fused ‖r‖² value (rᵀu is already in the Gram/moments)
+		}
+		red = c.reduce(payload, red...)
+		if momentForm {
+			// Hankel fill: (UᵀAU)[i][j] = μ_{i+j+1}, m[j] = μ_j.
+			mu := red[:2*s]
+			w = dense.NewMat(s, s)
+			for i := 0; i < s; i++ {
+				for j := 0; j < s; j++ {
+					w.Set(i, j, mu[i+j+1])
+				}
+			}
+			mVec = append([]float64(nil), mu[:s]...)
+			if useHist {
+				cMat = dense.FromRowMajor(s, s, red[2*s:])
+			}
+		} else {
+			g1 := dense.FromRowMajor(s, s+1, red[:s*(s+1)])
 			// m⁽ᵏ⁾ = R⁽ᵏ⁾ᵀu⁽ᵏ⁾ = first row of G1 (= uᵀS_j by symmetry of M⁻¹).
 			mVec = make([]float64, s)
 			for j := 0; j < s; j++ {
@@ -234,13 +238,9 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			// UᵀAU = G1·B ; C = P⁽ᵏ⁻¹⁾ᵀAU = G2·B.
 			w = dense.MatMul(g1, bMat)
 			if useHist {
-				cMat = dense.MatMul(g2, bMat)
+				cMat = dense.MatMul(dense.FromRowMajor(s, s+1, red[s*(s+1):]), bMat)
 			}
 		}
-		if opts.Criterion == RecursiveResidual2Norm {
-			payload++ // the fused ‖r‖² value (rᵀu is already in the Gram/moments)
-		}
-		c.allreduce(payload)
 
 		// B⁽ᵏ⁾ from A-orthogonality: W⁽ᵏ⁻¹⁾·B⁽ᵏ⁾ = −C⁽ᵏ⁾. A singular
 		// W⁽ᵏ⁻¹⁾ means the s-step basis has degenerated — reported as a
@@ -284,8 +284,15 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			if recoverState() {
 				continue
 			}
-			stats.Breakdown = fmt.Errorf("%w: W⁽ᵏ⁾ system at outer iteration %d: %v", ErrBreakdown, k, aerr)
-			break
+			werr := fmt.Errorf("%w: W⁽ᵏ⁾ system at outer iteration %d: %v", ErrBreakdown, k, aerr)
+			// Lucky convergence: with a near-exact preconditioner the basis
+			// is numerically rank-deficient, and the step along its
+			// independent leading columns may already reach the tolerance.
+			if aVec = leadingSolve(w, mVec); aVec == nil {
+				stats.Breakdown = werr
+				break
+			}
+			truncated = werr
 		}
 		if !finite(aVec...) {
 			if recoverState() {
@@ -307,8 +314,8 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 			c.blockAddMul(apNew, sb, AP, bk.Data) // AP⁽ᵏ⁾ = S·B + AP⁽ᵏ⁻¹⁾·B⁽ᵏ⁾
 			AP, apNew = apNew, AP
 		}
-		c.blockMulVecAdd(x, P, aVec)  // x += P·a
-		c.blockMulVecSub(r, AP, aVec) // r −= AP·a
+		c.blockVec(c.k.addTo, x, P, aVec)    // x += P·a
+		c.blockVec(c.k.subFrom, r, AP, aVec) // r −= AP·a
 		c.inj.CorruptVector(r)
 
 		if opts.ResidualReplacement && shouldReplaceResidual(c, b, x, r, scratch) {
@@ -319,15 +326,32 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 		haveHistory = true
 		stats.OuterIterations = k + 1
 		stats.Iterations = (k + 1) * s
-		if !finite(r[0]) {
-			if recoverState() {
-				continue
-			}
-			stats.Breakdown = fmt.Errorf("%w: residual diverged at outer iteration %d", ErrBreakdown, k)
-			break
+		// A diverged residual surfaces as a non-finite rᵀu at the next
+		// boundary: a reduced value, so every rank takes the same branch.
+	}
+	return finishRun(c, b, x, opts), nil
+}
+
+// leadingSolve solves the leading j×j block of w·a = m for the largest j
+// whose block is Cholesky-SPD with condition at most 1e10; a's trailing
+// coefficients stay zero. Nil when no leading block qualifies.
+func leadingSolve(w *dense.Mat, m []float64) []float64 {
+	for j := w.R; j >= 1; j-- {
+		lead := dense.NewMat(j, j)
+		for i := 0; i < j; i++ {
+			copy(lead.Data[i*j:(i+1)*j], w.Data[i*w.C:i*w.C+j])
+		}
+		ch, err := dense.Cholesky(lead)
+		if err != nil || dense.Cond2SPD(lead) > 1e10 {
+			continue
+		}
+		a := make([]float64, w.R)
+		copy(a, m[:j])
+		if ch.Solve(a[:j]) == nil {
+			return a
 		}
 	}
-	return finishRun(c, a, b, x, opts, stats), stats, nil
+	return nil
 }
 
 // shouldReplaceResidual implements the residual-replacement extension: when
@@ -336,9 +360,7 @@ func runSStep(a *sparse.CSR, m precond.Interface, b []float64, opts Options, mom
 // bound; the √ε heuristic captures the mechanism). Charged: one SpMV + one
 // allreduce per outer iteration when enabled.
 func shouldReplaceResidual(c *ctx, b, x, r, scratch []float64) bool {
-	c.spmv(scratch, x)
-	vec.Sub(scratch, b, scratch) // true residual
-	c.tr.VectorOp(float64(c.n), 24*float64(c.n))
+	c.residual(scratch, b, x) // true residual
 	diff := 0.0
 	norm := 0.0
 	for i := range scratch {
@@ -347,8 +369,8 @@ func shouldReplaceResidual(c *ctx, b, x, r, scratch []float64) bool {
 		norm += scratch[i] * scratch[i]
 	}
 	c.tr.ReduceLocal(4*float64(c.n), 32*float64(c.n))
-	c.allreduce(2)
-	if diff > 1e-16*norm && norm > 0 {
+	v := c.reduce(2, diff, norm)
+	if v[0] > 1e-16*v[1] && v[1] > 0 {
 		copy(r, scratch)
 		return true
 	}

@@ -202,18 +202,3 @@ func (lm *LocalMatrix) SpMV(rk *Rank, dst, x []float64) {
 	xExt := lm.Exchange(rk, x)
 	lm.MulVecLocal(dst, xExt)
 }
-
-// DiagLocal returns the owned diagonal entries.
-func (lm *LocalMatrix) DiagLocal() []float64 {
-	n := lm.NLocal()
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := lm.rowPtr[i]; k < lm.rowPtr[i+1]; k++ {
-			if lm.colIdx[k] == i {
-				d[i] = lm.val[k]
-				break
-			}
-		}
-	}
-	return d
-}

@@ -6,6 +6,9 @@
 // internal/dist models, demonstrating that the partition/halo machinery
 // computes exactly what the sequential kernels compute.
 //
+// The package is the runtime only. Distributed solves (solver.Distributed)
+// run the solver package's own iterations on every rank.
+//
 // The runtime is deliberately faithful to MPI programming style: a rank can
 // only read values it owns or has received, reductions are collective, and
 // forgetting an exchange produces wrong results, not panics.

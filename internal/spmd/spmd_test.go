@@ -6,12 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"spcg/internal/basis"
-	"spcg/internal/eig"
-	"spcg/internal/precond"
-	"spcg/internal/solver"
 	"spcg/internal/sparse"
-	"spcg/internal/vec"
 )
 
 func TestWorldBarrierAndAllreduce(t *testing.T) {
@@ -136,219 +131,5 @@ func TestDistributeValidation(t *testing.T) {
 	}
 	if _, err := Distribute(a, 10); err == nil {
 		t.Fatal("p > rows accepted")
-	}
-}
-
-func TestPCGJacobiMatchesSequential(t *testing.T) {
-	a := sparse.Poisson2D(16, 16)
-	n := a.Dim()
-	rng := rand.New(rand.NewSource(5))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	// Sequential reference through the solver package.
-	m, err := precond.NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xSeq, seqStats, err := solver.PCG(a, m, b, solver.Options{Tol: 1e-10, Criterion: solver.RecursiveResidualMNorm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 5, 8} {
-		res, err := PCGJacobi(a, b, p, 1e-10, 0)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Converged {
-			t.Fatalf("p=%d: did not converge", p)
-		}
-		// Same iteration count ±1 (reduction order differs slightly).
-		if d := res.Iterations - seqStats.Iterations; d < -1 || d > 1 {
-			t.Fatalf("p=%d: %d iterations vs sequential %d", p, res.Iterations, seqStats.Iterations)
-		}
-		// Same solution to tight tolerance.
-		diff := make([]float64, n)
-		vec.Sub(diff, res.X, xSeq)
-		if rel := vec.Norm2(diff) / vec.Norm2(xSeq); rel > 1e-8 {
-			t.Fatalf("p=%d: solutions differ by %v", p, rel)
-		}
-		// Communication pattern: 1 initial + 2 per iteration allreduces.
-		if res.Allreduces != 1+2*res.Iterations {
-			t.Fatalf("p=%d: %d allreduces for %d iterations", p, res.Allreduces, res.Iterations)
-		}
-	}
-}
-
-func TestPCGJacobiDeterministicAcrossRuns(t *testing.T) {
-	// Rank-ordered reduction makes the parallel solve bitwise reproducible.
-	a := sparse.VarCoeff2D(14, 14, 2, 9)
-	b := make([]float64, a.Dim())
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	r1, err := PCGJacobi(a, b, 6, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := PCGJacobi(a, b, 6, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Fatal("iteration counts differ across runs")
-	}
-	for i := range r1.X {
-		if r1.X[i] != r2.X[i] {
-			t.Fatalf("solutions differ bitwise at %d", i)
-		}
-	}
-}
-
-func TestPCGJacobiValidation(t *testing.T) {
-	a := sparse.Poisson1D(10)
-	if _, err := PCGJacobi(a, make([]float64, 3), 2, 1e-9, 0); err == nil {
-		t.Fatal("bad rhs accepted")
-	}
-	coo := sparse.NewCOO(4)
-	for i := 0; i < 4; i++ {
-		coo.Add(i, i, -1)
-		if i > 0 {
-			coo.AddSym(i, i-1, 0.1)
-		}
-	}
-	if _, err := PCGJacobi(coo.ToCSR(), make([]float64, 4), 2, 1e-9, 0); err == nil {
-		t.Fatal("negative diagonal accepted")
-	}
-}
-
-func TestSPCGJacobiMatchesSequentialSPCG(t *testing.T) {
-	a := sparse.Poisson2D(16, 16)
-	n := a.Dim()
-	rng := rand.New(rand.NewSource(11))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	m, err := precond.NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 5
-	params := basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax)
-	xSeq, seqStats, err := solver.SPCG(a, m, b, solver.Options{
-		S: s, BasisParams: params, Tol: 1e-9, Criterion: solver.RecursiveResidualMNorm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seqStats.Converged {
-		t.Fatalf("sequential sPCG did not converge: %v", seqStats.Breakdown)
-	}
-	for _, p := range []int{1, 3, 6} {
-		res, err := SPCGJacobi(a, b, p, s, params, 1e-9, 0)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Converged {
-			t.Fatalf("p=%d: did not converge", p)
-		}
-		if d := res.Iterations - seqStats.Iterations; d < -s || d > s {
-			t.Fatalf("p=%d: %d iterations vs sequential %d", p, res.Iterations, seqStats.Iterations)
-		}
-		diff := make([]float64, n)
-		vec.Sub(diff, res.X, xSeq)
-		if rel := vec.Norm2(diff) / vec.Norm2(xSeq); rel > 1e-7 {
-			t.Fatalf("p=%d: solutions differ by %v", p, rel)
-		}
-		// Communication: 2 collectives per outer iteration (rho + Gram) + 1
-		// final boundary check.
-		outer := res.Iterations / s
-		if res.Allreduces != 2*outer+1 {
-			t.Fatalf("p=%d: %d collectives for %d outer iterations", p, res.Allreduces, outer)
-		}
-	}
-}
-
-func TestSPCGJacobiValidation(t *testing.T) {
-	a := sparse.Poisson1D(20)
-	params := basis.MonomialParams(3)
-	if _, err := SPCGJacobi(a, make([]float64, 5), 2, 3, params, 1e-9, 0); err == nil {
-		t.Fatal("bad rhs accepted")
-	}
-	if _, err := SPCGJacobi(a, make([]float64, 20), 2, 0, params, 1e-9, 0); err == nil {
-		t.Fatal("s=0 accepted")
-	}
-	if _, err := SPCGJacobi(a, make([]float64, 20), 2, 5, params, 1e-9, 0); err == nil {
-		t.Fatal("degree < s accepted")
-	}
-	if _, err := SPCGJacobi(a, make([]float64, 20), 2, 3, nil, 1e-9, 0); err == nil {
-		t.Fatal("nil params accepted")
-	}
-}
-
-func TestCAPCGJacobiMatchesSequentialCAPCG(t *testing.T) {
-	a := sparse.Poisson2D(16, 16)
-	n := a.Dim()
-	rng := rand.New(rand.NewSource(21))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	m, err := precond.NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := eig.RitzFromPCG(a, m.Apply, eig.Options{Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := 5
-	params := basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax)
-	xSeq, seqStats, err := solver.CAPCG(a, m, b, solver.Options{
-		S: s, BasisParams: params, Tol: 1e-9, Criterion: solver.RecursiveResidualMNorm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seqStats.Converged {
-		t.Fatalf("sequential CA-PCG did not converge: %v", seqStats.Breakdown)
-	}
-	for _, p := range []int{1, 4, 7} {
-		res, err := CAPCGJacobi(a, b, p, s, params, 1e-9, 0)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !res.Converged {
-			t.Fatalf("p=%d: did not converge", p)
-		}
-		if d := res.Iterations - seqStats.Iterations; d < -s || d > s {
-			t.Fatalf("p=%d: %d iterations vs sequential %d", p, res.Iterations, seqStats.Iterations)
-		}
-		diff := make([]float64, n)
-		vec.Sub(diff, res.X, xSeq)
-		if rel := vec.Norm2(diff) / vec.Norm2(xSeq); rel > 1e-7 {
-			t.Fatalf("p=%d: solutions differ by %v", p, rel)
-		}
-		outer := res.Iterations / s
-		if res.Allreduces != 2*outer+1 {
-			t.Fatalf("p=%d: %d collectives for %d outer iterations", p, res.Allreduces, outer)
-		}
-	}
-}
-
-func TestCAPCGJacobiValidation(t *testing.T) {
-	a := sparse.Poisson1D(20)
-	params := basis.MonomialParams(3)
-	if _, err := CAPCGJacobi(a, make([]float64, 5), 2, 3, params, 1e-9, 0); err == nil {
-		t.Fatal("bad rhs accepted")
-	}
-	if _, err := CAPCGJacobi(a, make([]float64, 20), 2, 5, params, 1e-9, 0); err == nil {
-		t.Fatal("degree < s accepted")
 	}
 }

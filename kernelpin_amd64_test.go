@@ -7,6 +7,7 @@ import (
 
 	"spcg"
 	"spcg/internal/basis"
+	"spcg/internal/solver"
 	"spcg/internal/vec"
 )
 
@@ -18,10 +19,11 @@ import (
 // pool workers make the pooled kernels split the rows at a fixed boundary.
 // amd64 only: other architectures may fuse multiply-adds in the Go kernels.
 //
-// DistributedSPCG's ranks run the serial entries of the same kernels, so on
-// 2 ranks it matches sequential sPCG with 2 workers bit for bit. Its earlier
-// per-column Axpy block updates associated the sums differently and gave
-// bits 0x4025a1664416a7c5 at the same 60 iterations.
+// The spmd ranks run the sequential solvers' code with the serial entries of
+// the same kernels, so on 2 ranks DistributedSPCG and distributed CA-PCG
+// match their sequential runs with 2 workers bit for bit. DistributedSPCG's
+// earlier per-column Axpy block updates associated the sums differently and
+// gave bits 0x4025a1664416a7c5 at the same 60 iterations.
 func TestSolverBitwisePin(t *testing.T) {
 	prev := vec.SetMaxWorkers(2)
 	defer vec.SetMaxWorkers(prev)
@@ -53,6 +55,7 @@ func TestSolverBitwisePin(t *testing.T) {
 		{"capcg", 60, 0x4025a1664416a7c4},
 		{"capcg3", 60, 0x4025a1664416a7c9},
 		{"spmd.spcg", 60, 0x4025a1664416a7c2},
+		{"spmd.capcg", 60, 0x4025a1664416a7c4},
 	}
 	for _, p := range pins {
 		var x []float64
@@ -60,6 +63,12 @@ func TestSolverBitwisePin(t *testing.T) {
 		switch p.name {
 		case "spmd.spcg":
 			res, err := spcg.DistributedSPCG(a, b, 2, s, basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax), 1e-9, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			x, iters = res.X, res.Iterations
+		case "spmd.capcg":
+			res, err := solver.Distributed("capcg", a, b, 2, solver.Options{S: s, BasisParams: basis.ChebyshevParams(s, est.LambdaMin, est.LambdaMax), Tol: 1e-9, Criterion: solver.RecursiveResidualMNorm})
 			if err != nil {
 				t.Fatalf("%s: %v", p.name, err)
 			}

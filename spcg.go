@@ -34,7 +34,6 @@ import (
 	"spcg/internal/precond"
 	"spcg/internal/solver"
 	"spcg/internal/sparse"
-	"spcg/internal/spmd"
 	"spcg/internal/tune"
 	"spcg/internal/vec"
 )
@@ -150,15 +149,31 @@ var NewTracker = dist.NewTracker
 
 // DistributedPCG runs Jacobi-preconditioned CG on p real SPMD goroutine
 // ranks with explicit halo exchanges and collectives (internal/spmd): the
-// executable counterpart of the modeled cluster.
-var DistributedPCG = spmd.PCGJacobi
+// executable counterpart of the modeled cluster. Every rank runs the same
+// PCG code as the sequential solver. It stops when the M-norm of the
+// residual has dropped by tol (default 1e-9) or after maxIters iterations
+// (default 10·n).
+func DistributedPCG(a *Matrix, b []float64, p int, tol float64, maxIters int) (*SPMDResult, error) {
+	return solver.Distributed("pcg", a, b, p, spmdOptions(a, 0, nil, tol, maxIters))
+}
 
 // DistributedSPCG runs the paper's sPCG on p real SPMD ranks (Jacobi
-// preconditioner, explicit basis parameters).
-var DistributedSPCG = spmd.SPCGJacobi
+// preconditioner, explicit basis parameters of degree ≥ s), with the same
+// stopping rule as DistributedPCG.
+func DistributedSPCG(a *Matrix, b []float64, p, s int, params *basis.Params, tol float64, maxIters int) (*SPMDResult, error) {
+	return solver.Distributed("spcg", a, b, p, spmdOptions(a, s, params, tol, maxIters))
+}
 
-// SPMDResult reports a distributed solve.
-type SPMDResult = spmd.Result
+func spmdOptions(a *Matrix, s int, params *basis.Params, tol float64, maxIters int) solver.Options {
+	if maxIters <= 0 && a != nil {
+		maxIters = 10 * a.Dim()
+	}
+	return solver.Options{S: s, BasisParams: params, Tol: tol, MaxIterations: maxIters, Criterion: solver.RecursiveResidualMNorm}
+}
+
+// SPMDResult reports a distributed solve; see solver.SPMDResult for what
+// Allreduces counts.
+type SPMDResult = solver.SPMDResult
 
 // FaultInjector produces seeded, reproducible faults: silent data corruption
 // of SpMV outputs or state vectors, dropped point-to-point messages, and
